@@ -46,8 +46,6 @@ func main() {
 		"stream per-host per-domain power samples, pump them into the store as power.<domain> metrics, and serve Prometheus text at /metrics on this address")
 	hold := flag.Duration("hold", 0,
 		"keep the /metrics endpoint serving after the queries complete: a duration, or negative (e.g. -1s) to serve until SIGINT/SIGTERM (a signal always ends the hold early)")
-	telemetryHold := flag.Duration("telemetry-hold", 0,
-		"deprecated alias for -hold")
 	version := flag.Bool("version", false, "print module version, VCS revision, and dirty flag, then exit")
 	flag.Parse()
 
@@ -101,14 +99,12 @@ func main() {
 		defer ds.Close()
 		ds.Handle("/metrics", col)
 		fmt.Fprintf(os.Stderr, "omniquery: telemetry endpoint on http://%s/metrics\n", ds.Addr)
-		if *hold == 0 {
-			*hold = *telemetryHold // deprecated spelling
-		}
 		if *hold != 0 {
 			holdFor := *hold
 			defer func() {
+				wait := serve.CatchShutdown()
 				fmt.Fprintf(os.Stderr, "omniquery: holding /metrics open for %s\n", holdFor)
-				reason := serve.WaitForShutdown(holdFor)
+				reason := wait(holdFor)
 				fmt.Fprintf(os.Stderr, "omniquery: hold ended (%s)\n", reason)
 			}()
 		}

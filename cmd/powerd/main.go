@@ -172,6 +172,9 @@ func run(opts options, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	// Catch SIGTERM before the address is announced: a signal sent the
+	// moment a supervisor sees the listener must drain, not kill.
+	wait := serve.CatchShutdown()
 	srv.Mount(ds)
 	if col != nil {
 		ds.Handle("/metrics", col)
@@ -181,7 +184,7 @@ func run(opts options, stdout, stderr io.Writer) error {
 		opts.ready <- ds.Addr
 	}
 
-	reason := serve.WaitForShutdown(opts.hold)
+	reason := wait(opts.hold)
 	fmt.Fprintf(stderr, "powerd: shutting down (%s); draining in-flight requests\n", reason)
 	ctx, cancel := context.WithTimeout(context.Background(), opts.drainTimeout)
 	defer cancel()

@@ -156,6 +156,19 @@ func TestOneshotInvalidSpec(t *testing.T) {
 	}
 }
 
+// TestSIGTERMAtReady: a SIGTERM sent the moment the listener is
+// announced drains the daemon cleanly and writes the manifest, rather
+// than killing the process before its handler is installed.
+func TestSIGTERMAtReady(t *testing.T) {
+	manifest := filepath.Join(t.TempDir(), "manifest.json")
+	_, errc := startDaemon(t, options{hold: -1, manifestPath: manifest, drainTimeout: 10 * time.Second})
+	sigterm(t)
+	waitExit(t, errc)
+	if _, err := os.Stat(manifest); err != nil {
+		t.Fatalf("manifest not written: %v", err)
+	}
+}
+
 // TestHoldElapses: a positive -hold returns without any signal.
 func TestHoldElapses(t *testing.T) {
 	_, errc := startDaemon(t, options{hold: 50 * time.Millisecond, drainTimeout: 10 * time.Second})

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -37,17 +39,22 @@ func TestQuickOutputGolden(t *testing.T) {
 	if _, err := run(cfg, "", "", &buf); err != nil {
 		t.Fatal(err)
 	}
-	got := normalize(buf.String())
-	if got == string(want) {
+	sameLines(t, "quick output vs golden", normalize(buf.String()), string(want))
+}
+
+// sameLines fails the test at the first line where got and want differ.
+func sameLines(t *testing.T, label, got, want string) {
+	t.Helper()
+	if got == want {
 		return
 	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
 	for i := 0; i < len(gl) && i < len(wl); i++ {
 		if gl[i] != wl[i] {
-			t.Fatalf("quick output diverged from golden at line %d:\n got: %q\nwant: %q", i+1, gl[i], wl[i])
+			t.Fatalf("%s: diverged at line %d:\n got: %q\nwant: %q", label, i+1, gl[i], wl[i])
 		}
 	}
-	t.Fatalf("quick output diverged from golden: %d lines vs %d", len(gl), len(wl))
+	t.Fatalf("%s: %d lines vs %d", label, len(gl), len(wl))
 }
 
 // TestQuickRunsOnEveryPlatform smoke-tests the non-default platforms
@@ -67,6 +74,55 @@ func TestQuickRunsOnEveryPlatform(t *testing.T) {
 	for _, name := range []string{"a100-80gb-500w", "h100-sxm"} {
 		if outputs[name] == outputs["perlmutter-a100"] {
 			t.Fatalf("%s produced byte-identical output to perlmutter-a100; the platform is not being threaded through", name)
+		}
+	}
+}
+
+// TestFullOutputMatchesCheckedIn pins the published artifacts: a full
+// (non-quick) run must reproduce powerstudy_full.txt (timing lines
+// normalized) and every CSV under artifact/ byte for byte, so the
+// files EXPERIMENTS.md quotes never drift from what the code
+// produces. Regenerate after an intentional change with:
+//
+//	go run ./cmd/powerstudy -parallel 1 > powerstudy_full.txt
+//	go run ./cmd/powerstudy -artifact artifact/ > /dev/null
+func TestFullOutputMatchesCheckedIn(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full study skipped in -short mode")
+	}
+	want, err := os.ReadFile("../../powerstudy_full.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var buf bytes.Buffer
+	if _, err := run(experiments.Config{Seed: 2024}, "", dir, &buf); err != nil {
+		t.Fatal(err)
+	}
+	footer := fmt.Sprintf("artifact bundle: 19 CSV files under %s\n", dir)
+	out, ok := strings.CutSuffix(buf.String(), footer)
+	if !ok {
+		t.Fatalf("output does not end with %q", footer)
+	}
+	sameLines(t, "full output vs powerstudy_full.txt", normalize(out), normalize(string(want)))
+	csvs, err := filepath.Glob("../../artifact/*.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(csvs) != 19 {
+		t.Fatalf("artifact/ holds %d CSV files, want 19", len(csvs))
+	}
+	for _, path := range csvs {
+		wantCSV, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotCSV, err := os.ReadFile(filepath.Join(dir, filepath.Base(path)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotCSV, wantCSV) {
+			t.Errorf("%s differs from a fresh export", filepath.Base(path))
 		}
 	}
 }

@@ -98,8 +98,6 @@ func main() {
 		"stream per-host per-domain power samples and serve them as Prometheus text at /metrics on this address (e.g. localhost:9100)")
 	hold := flag.Duration("hold", 0,
 		"keep the /metrics endpoint serving after the run completes: a duration, or negative (e.g. -1s) to serve until SIGINT/SIGTERM (a signal always ends the hold early)")
-	telemetryHold := flag.Duration("telemetry-hold", 0,
-		"deprecated alias for -hold")
 	version := flag.Bool("version", false, "print module version, VCS revision, and dirty flag, then exit")
 	flag.Parse()
 
@@ -171,14 +169,12 @@ func main() {
 			}
 			tds.Handle("/metrics", col)
 			fmt.Fprintf(os.Stderr, "powerstudy: telemetry endpoint on http://%s/metrics\n", tds.Addr)
-			if *hold == 0 {
-				*hold = *telemetryHold // deprecated spelling
-			}
 			if *hold != 0 {
 				holdFor := *hold
 				defer func() {
+					wait := serve.CatchShutdown()
 					fmt.Fprintf(os.Stderr, "powerstudy: holding /metrics open for %s\n", holdFor)
-					reason := serve.WaitForShutdown(holdFor)
+					reason := wait(holdFor)
 					fmt.Fprintf(os.Stderr, "powerstudy: hold ended (%s)\n", reason)
 				}()
 			}

@@ -118,7 +118,7 @@ func ProfileRun(out workloads.RunOutput, interval float64) JobProfile {
 // MeasureSpec configures one measurement: which benchmark, on which
 // platform, at what scale, under which GPU power cap. It is the single
 // entry point's options struct; zero fields take the paper's protocol
-// defaults (default platform, 1 node, 1 repeat, uncapped, serial).
+// defaults (default platform, 1 node, 1 repeat, uncapped).
 type MeasureSpec struct {
 	Bench    workloads.Benchmark
 	Platform platform.Platform // zero = default platform
@@ -126,10 +126,12 @@ type MeasureSpec struct {
 	Repeats  int               // 0 = 1; best (min-runtime) repeat is profiled
 	CapW     float64           // GPU power cap, W; <= 0 or >= GPU TDP = uncapped
 	Seed     uint64
-	// Workers fans the repeat loop out over goroutines (0 = one per
-	// CPU, 1 = serial). The profile is identical for every worker
-	// count: each repeat draws from its own seed-split noise stream and
-	// the minimum-runtime repeat is selected by index.
+	// Workers shards the cap points of MeasureCapResponse over this
+	// many goroutines (0 = 1, serial; negative or more than the points
+	// = one per point). A single Measure runs its repeats serially
+	// whatever the value. The response is identical for every worker
+	// count: each point is measured on its own shard's context, and a
+	// point does not depend on which context measures it.
 	Workers int
 	// Entropy stamps every GPU kernel in the schedule with this operand
 	// entropy in [0,1]; 0 leaves kernels at the platform table's
@@ -158,26 +160,13 @@ func (spec MeasureSpec) withDefaults() MeasureSpec {
 	return spec
 }
 
-// Measure runs a benchmark with the paper's protocol (prelude burn-in,
-// repeats, min-runtime selection) and returns its profile.
+// Measure runs a benchmark with the paper's protocol (repeats,
+// min-runtime selection) and returns the profile of the selected
+// repeat. It is a one-point SweepContext.
 func Measure(spec MeasureSpec) (JobProfile, error) {
-	spec = spec.withDefaults()
-	out, err := workloads.Run(workloads.RunSpec{
-		Bench:          spec.Bench,
-		Platform:       spec.Platform,
-		Nodes:          spec.Nodes,
-		GPUPowerLimit:  spec.CapW,
-		Repeats:        spec.Repeats,
-		Seed:           spec.Seed,
-		Workers:        spec.Workers,
-		OperandEntropy: spec.Entropy,
-	})
-	if err != nil {
-		return JobProfile{}, err
-	}
-	jp := ProfileRun(out, DefaultSamplingInterval)
-	jp.Name = spec.Bench.Name
-	return jp, nil
+	c := NewSweepContext(spec)
+	defer c.Close()
+	return c.MeasureCap(spec.CapW)
 }
 
 // CapPoint is one power-cap measurement.
@@ -204,11 +193,10 @@ type CapResponse struct {
 // drives the sweep). The needed points are sharded across up to
 // spec.Workers sweep contexts, each of which resolves the schedule
 // once and re-runs only the cap solver per point; every point is
-// bit-identical to an independent run at the same seed (the retained
-// oracle, pinned by the differential tests), so the response is
-// identical for every worker count. Caps of 0 or ≥ TDP reuse the
-// baseline measurement, as on the real machine where the TDP is the
-// default limit.
+// bit-identical to an independent Measure at the same seed (pinned by
+// the differential tests), so the response is identical for every
+// worker count. Caps of 0 or ≥ TDP reuse the baseline measurement, as
+// on the real machine where the TDP is the default limit.
 func MeasureCapResponse(spec MeasureSpec, caps []float64) (CapResponse, error) {
 	spec = spec.withDefaults()
 	tdp := spec.Platform.GPU.TDP

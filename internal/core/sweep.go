@@ -3,10 +3,11 @@
 // construction, kernel resolution through the platform efficiency
 // table, node allocation, noise-stream derivation), so a sweep pays
 // for it once and re-runs only the cap solver and trace recording per
-// point. The invariant the retained oracle (Measure, one full run per
-// point) enforces through the differential tests: a cap may change
-// kernel clocks, powers, and durations — never which kernels run,
-// which nodes they run on, or which noise they see.
+// point. It is the only measurement engine: Measure is a one-point
+// SweepContext. The invariant the differential tests pin against an
+// independent full run per point: a cap may change kernel clocks,
+// powers, and durations — never which kernels run, which nodes they
+// run on, or which noise they see.
 package core
 
 import (
@@ -20,13 +21,9 @@ import (
 // measurement spec. Build it once per sweep, call MeasureCap per
 // point, and Close it to release the node arena. The first MeasureCap
 // call performs the resolution phase lazily, so a sweep whose points
-// are all served from a cache never allocates an arena at all.
-//
-// When the incremental engine is unavailable — a telemetry sink is
-// streaming (arena reuse would corrupt its cursors), or the spec needs
-// a path the engine does not cover — every point transparently falls
-// back to the retained oracle, Measure, which also reproduces any
-// construction error exactly where the old per-point path raised it.
+// are all served from a cache never allocates an arena at all; if
+// that phase fails (invalid bench, unresolvable kernel), every point
+// returns its error.
 //
 // MeasureCap is safe for concurrent use (calls serialize on the
 // context's mutex; points are independent, so order does not matter).
@@ -34,7 +31,7 @@ type SweepContext struct {
 	mu     sync.Mutex
 	spec   MeasureSpec
 	sw     *workloads.Sweep
-	oracle bool
+	err    error // resolution-phase failure
 	inited bool
 	closed bool
 }
@@ -48,9 +45,9 @@ func NewSweepContext(spec MeasureSpec) *SweepContext {
 	return &SweepContext{spec: spec}
 }
 
-// MeasureCap measures the context's spec under one GPU power cap,
-// bit-identical to Measure with CapW: capW. Non-binding caps (<= 0 or
-// >= the platform GPU's TDP) run uncapped, matching MeasureSpec
+// MeasureCap measures the context's spec under one GPU power cap, as
+// Measure does with CapW: capW. Non-binding caps (<= 0 or >= the
+// platform GPU's TDP) run uncapped, matching MeasureSpec
 // normalization.
 func (c *SweepContext) MeasureCap(capW float64) (JobProfile, error) {
 	c.mu.Lock()
@@ -63,7 +60,7 @@ func (c *SweepContext) MeasureCap(capW float64) (JobProfile, error) {
 	}
 	if !c.inited {
 		c.inited = true
-		sw, err := workloads.NewSweep(workloads.RunSpec{
+		c.sw, c.err = workloads.NewSweep(workloads.RunSpec{
 			Bench:          c.spec.Bench,
 			Platform:       c.spec.Platform,
 			Nodes:          c.spec.Nodes,
@@ -72,20 +69,9 @@ func (c *SweepContext) MeasureCap(capW float64) (JobProfile, error) {
 			Workers:        1,
 			OperandEntropy: c.spec.Entropy,
 		})
-		if err != nil {
-			// Oracle fallback: behavior-identical, including errors —
-			// whatever stopped the resolution phase (invalid bench,
-			// unresolvable kernel) stops the oracle at the same place
-			// with the same message, per point.
-			c.oracle = true
-		} else {
-			c.sw = sw
-		}
 	}
-	if c.oracle {
-		pt := c.spec
-		pt.CapW = capW
-		return Measure(pt)
+	if c.err != nil {
+		return JobProfile{}, c.err
 	}
 	out, err := c.sw.RunCap(capW)
 	if err != nil {

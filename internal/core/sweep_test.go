@@ -18,9 +18,33 @@ func benchByName(t testing.TB, name string) workloads.Benchmark {
 	return b
 }
 
-// TestSweepContextMatchesMeasure is the tentpole's differential
-// contract at the profile level: MeasureCap on one reusable context is
-// deep-equal to an independent Measure per point — across platforms,
+// measureOracle is the full-run measurement Measure was before it
+// became a one-point SweepContext: a workloads.Run on fresh nodes per
+// repeat, profiled by ProfileRun. It is the reference the sweep engine
+// is pinned against.
+func measureOracle(spec MeasureSpec) (JobProfile, error) {
+	spec = spec.withDefaults()
+	out, err := workloads.Run(workloads.RunSpec{
+		Bench:          spec.Bench,
+		Platform:       spec.Platform,
+		Nodes:          spec.Nodes,
+		GPUPowerLimit:  spec.CapW,
+		Repeats:        spec.Repeats,
+		Seed:           spec.Seed,
+		Workers:        spec.Workers,
+		OperandEntropy: spec.Entropy,
+	})
+	if err != nil {
+		return JobProfile{}, err
+	}
+	jp := ProfileRun(out, DefaultSamplingInterval)
+	jp.Name = spec.Bench.Name
+	return jp, nil
+}
+
+// TestSweepContextMatchesMeasure is the differential contract at the
+// profile level: MeasureCap on one reusable context, and Measure, are
+// deep-equal to an independent full run per point — across platforms,
 // methods, entropy, and repeats, in arbitrary point order.
 func TestSweepContextMatchesMeasure(t *testing.T) {
 	cases := []struct {
@@ -58,7 +82,7 @@ func TestSweepContextMatchesMeasure(t *testing.T) {
 			for _, capW := range tc.caps {
 				pt := spec
 				pt.CapW = capW
-				want, err := Measure(pt)
+				want, err := measureOracle(pt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -67,29 +91,40 @@ func TestSweepContextMatchesMeasure(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("cap %v W: profile diverges from Measure\n got runtime %v energy %v\nwant runtime %v energy %v",
+					t.Fatalf("cap %v W: profile diverges from the full run\n got runtime %v energy %v\nwant runtime %v energy %v",
 						capW, got.Runtime, got.EnergyJ, want.Runtime, want.EnergyJ)
+				}
+				one, err := Measure(pt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want, one) {
+					t.Fatalf("cap %v W: Measure diverges from the full run", capW)
 				}
 			}
 		})
 	}
 }
 
-// TestSweepContextOracleFallback: specs the incremental engine rejects
-// still measure correctly (and reproduce Measure's errors exactly).
+// TestSweepContextOracleFallback: a spec whose resolution phase fails
+// reports, on every point, the error the full run reports — never a
+// panic or a masked error.
 func TestSweepContextOracleFallback(t *testing.T) {
-	// Invalid bench: the context must surface the same error Measure
-	// returns, not panic or mask it.
 	bad := MeasureSpec{}
 	sctx := NewSweepContext(bad)
 	defer sctx.Close()
-	_, errCtx := sctx.MeasureCap(0)
-	_, errMeasure := Measure(bad)
-	if errMeasure == nil || errCtx == nil {
-		t.Fatal("invalid spec accepted")
+	_, errOracle := measureOracle(bad)
+	if errOracle == nil {
+		t.Fatal("full run accepted an invalid spec")
 	}
-	if errCtx.Error() != errMeasure.Error() {
-		t.Fatalf("fallback error %q, oracle %q", errCtx, errMeasure)
+	for i := 0; i < 2; i++ {
+		_, errCtx := sctx.MeasureCap(300)
+		if errCtx == nil || errCtx.Error() != errOracle.Error() {
+			t.Fatalf("point %d: error %v, full run %q", i, errCtx, errOracle)
+		}
+	}
+	if _, err := Measure(bad); err == nil || err.Error() != errOracle.Error() {
+		t.Fatalf("Measure error %v, full run %q", err, errOracle)
 	}
 }
 
@@ -160,11 +195,11 @@ func TestMeasureCapResponseWorkerInvariance(t *testing.T) {
 	}
 }
 
-// BenchmarkCapSweep is the tentpole's headline grid: a cold 16-point
-// cap sweep through the oracle (full run per point) versus the
-// incremental engine (resolve once, re-cap per point), at single-shot
-// and at the paper's 5-repeat measurement protocol, plus the
-// solve-only steady state whose allocations must stay at zero.
+// BenchmarkCapSweep is the sweep engine's headline grid: a cold
+// 16-point cap sweep through the oracle (full run per point) versus
+// the incremental engine (resolve once, re-cap per point), at
+// single-shot and at the paper's 5-repeat measurement protocol, plus
+// the per-point steady state with and without the profiling pass.
 func BenchmarkCapSweep(b *testing.B) {
 	caps := make([]float64, 16)
 	for i := range caps {
@@ -181,7 +216,7 @@ func BenchmarkCapSweep(b *testing.B) {
 				for _, capW := range caps {
 					pt := spec
 					pt.CapW = capW
-					if _, err := Measure(pt); err != nil {
+					if _, err := measureOracle(pt); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -202,7 +237,8 @@ func BenchmarkCapSweep(b *testing.B) {
 	spec := specFor(0)
 
 	// The cap solve + trace recording alone, without the profiling pass
-	// (KDE, sampling): this is the arena's zero-allocation claim.
+	// (KDE, sampling). A point allocates only the memoized node total
+	// its energy is read from, which the profiling pass reuses.
 	b.Run("phase=solve-only/profile=off", func(b *testing.B) {
 		sw, err := workloads.NewSweep(workloads.RunSpec{Bench: spec.Bench, Nodes: 1, Repeats: 1, Seed: 7})
 		if err != nil {

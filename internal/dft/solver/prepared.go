@@ -8,35 +8,43 @@ import (
 	"vasppower/internal/hw/node"
 	"vasppower/internal/interconnect"
 	"vasppower/internal/rng"
-	"vasppower/internal/timeseries"
 )
 
-// Prepared is the cap-independent half of a job, split out so a sweep
-// can pay for it once: the validated schedule, every unique GPU work
-// descriptor resolved to its ExecProfile through the (shared) platform
-// efficiency table, CPU-step executions, collective durations priced
-// on the fabric, and the per-step component powers that do not depend
-// on the GPUs' cap state. What remains per Run is exactly the
+// Prepared is the cap-independent half of a job, done once so any
+// number of runs — repeats, cap points, clock points — can share it:
+// the validated schedule, every unique GPU work descriptor resolved
+// through the (shared) platform efficiency table into its hoisted
+// gpu.CapSolver, CPU-step executions, collective durations priced on
+// the fabric, and the per-step component powers that do not depend on
+// the GPUs' cap state. What remains per Run is exactly the
 // cap-dependent part — the cap solver's clock decision per unique
 // (kernel, device) pair, the jitter draws, and trace recording.
 //
-// The split leans on a structural fact of the oracle (Run): a step's
-// wall time and recorded powers depend on the cap only through
-// gpu.Execution values, and those depend only on (kernel, device,
-// device cap state) — never on trace history or step position. So a
-// table of executions per unique kernel × device, rebuilt when the cap
-// changes, reproduces the oracle's arithmetic exactly; the
-// differential tests in prepared_test.go pin every float.
+// The split leans on a structural fact of the step-by-step execution:
+// a step's wall time and recorded powers depend on the cap only
+// through gpu.Execution values, and those depend only on (kernel,
+// device, device cap state) — never on trace history or step position.
+// So a table of executions per unique kernel × device, rebuilt when
+// the cap changes, reproduces the step-by-step arithmetic exactly; the
+// differential tests in prepared_test.go pin every float against the
+// retained oracle.
 //
 // A Prepared is not safe for concurrent use.
 type Prepared struct {
 	job Job
 
-	// Unique GPU work descriptors of the schedule and their resolved
-	// profiles (the platform efficiency table is shared by every device
-	// of a run, so one resolution per kernel serves them all).
-	kernels  []gpu.Kernel
-	profiles []gpu.ExecProfile
+	// devices lists every GPU of the job node-major; node ni owns
+	// devices[devOff[ni]:devOff[ni+1]].
+	devices []*gpu.GPU
+	devOff  []int
+
+	// solvers[k] carries unique kernel k's hoisted cap-solver
+	// constants; execs[k*len(devices)+d] is its execution on device d
+	// under the current cap/clock state, rebuilt lazily after a Set*
+	// call.
+	solvers    []gpu.CapSolver
+	execs      []execution
+	execsValid bool
 
 	steps []prepStep
 
@@ -46,27 +54,21 @@ type Prepared struct {
 	hbmIdle   [][]float64 // per-device HBM-domain idle share
 	commGPUs  [][]float64 // gpuIdle + commGPUPower, precomputed
 
-	// solvers[k][ni][gi] carries kernel k's hoisted cap-solver
-	// constants for node ni's device gi; execs[k][ni][gi] is the
-	// corresponding Execution under the current cap/clock state,
-	// rebuilt lazily after a Set* call.
-	solvers    [][][]gpu.CapSolver
-	execs      [][][]gpu.Execution
-	execsValid bool
-
 	// Reusable scratch, so steady-state Run calls allocate nothing.
-	gpuCP        []node.ComponentPowers // per node, slices preallocated
-	phases       map[string]float64
-	sumScratch   timeseries.Trace
-	totalScratch timeseries.Trace
-	ptrScratch   []*timeseries.Trace
+	gpuCP  []node.ComponentPowers // per node, slices preallocated
+	phases map[string]float64
+}
+
+// execution is the part of a gpu.Execution a run records.
+type execution struct {
+	dur, power, memW float64
 }
 
 // prepStep is one schedule step with its cap-independent work done.
 type prepStep struct {
 	kind   method.StepKind
 	phase  string
-	kernel int     // GPU steps: index into kernels/profiles/execs
+	kernel int     // GPU steps: index into solvers
 	preDur float64 // pre-jitter wall duration (CPU barrier max, comm, host)
 	// memW is the per-node DDR power of a GPU step (the rest of a GPU
 	// step's powers are cap-dependent and assembled per Run).
@@ -100,10 +102,11 @@ func Prepare(job Job) (*Prepared, error) {
 	p.hbmIdle = make([][]float64, nn)
 	p.commGPUs = make([][]float64, nn)
 	p.gpuCP = make([]node.ComponentPowers, nn)
+	p.devOff = make([]int, nn+1)
 
-	// One efficiency table must serve every device: the per-kernel
-	// resolution below is hoisted out of the per-device loop on that
-	// basis.
+	// One efficiency table and one spec must serve every device: the
+	// per-kernel resolution and cap-solver constants below are hoisted
+	// out of the per-device loop on that basis.
 	var model *gpu.EfficiencyModel
 	for ni, n := range job.Nodes {
 		p.hostOrchW[ni] = n.CPU.HostOrchestrationPower()
@@ -111,6 +114,8 @@ func Prepare(job Job) (*Prepared, error) {
 		p.gpuIdle[ni] = make([]float64, g)
 		p.hbmIdle[ni] = make([]float64, g)
 		p.commGPUs[ni] = make([]float64, g)
+		p.devices = append(p.devices, n.GPUs...)
+		p.devOff[ni+1] = len(p.devices)
 		for gi, dev := range n.GPUs {
 			p.gpuIdle[ni][gi] = dev.IdlePower()
 			p.hbmIdle[ni][gi] = dev.HBMIdlePower()
@@ -119,6 +124,8 @@ func Prepare(job Job) (*Prepared, error) {
 				model = dev.Model()
 			} else if dev.Model() != model {
 				return nil, fmt.Errorf("solver: nodes mix efficiency tables (prepare requires one table per job)")
+			} else if dev.Spec != p.devices[0].Spec {
+				return nil, fmt.Errorf("solver: nodes mix GPU models (prepare requires one spec per job)")
 			}
 		}
 		p.gpuCP[ni] = node.ComponentPowers{
@@ -145,10 +152,9 @@ func Prepare(job Job) (*Prepared, error) {
 				if err != nil {
 					return nil, err
 				}
-				ki = len(p.kernels)
+				ki = len(p.solvers)
 				kernelIdx[st.GPU] = ki
-				p.kernels = append(p.kernels, st.GPU)
-				p.profiles = append(p.profiles, prof)
+				p.solvers = append(p.solvers, gpu.NewCapSolver(p.devices[0].Spec, st.GPU, prof))
 			}
 			ps.kernel = ki
 			ps.memW = make([]float64, nn)
@@ -212,29 +218,9 @@ func Prepare(job Job) (*Prepared, error) {
 		p.steps = append(p.steps, ps)
 	}
 
-	if len(p.kernels) > 0 {
-		p.solvers = make([][][]gpu.CapSolver, len(p.kernels))
-		p.execs = make([][][]gpu.Execution, len(p.kernels))
-		for ki := range p.execs {
-			p.solvers[ki] = make([][]gpu.CapSolver, nn)
-			p.execs[ki] = make([][]gpu.Execution, nn)
-			for ni, n := range job.Nodes {
-				srow := make([]gpu.CapSolver, n.NumGPUs())
-				for gi, dev := range n.GPUs {
-					srow[gi] = dev.NewCapSolver(p.kernels[ki], p.profiles[ki])
-				}
-				p.solvers[ki][ni] = srow
-				p.execs[ki][ni] = make([]gpu.Execution, n.NumGPUs())
-			}
-		}
-	}
+	p.execs = make([]execution, len(p.solvers)*len(p.devices))
 	return p, nil
 }
-
-// Kernels returns how many unique GPU work descriptors the schedule
-// resolves to — the per-point solve cost is proportional to this, not
-// to the step count.
-func (p *Prepared) Kernels() int { return len(p.kernels) }
 
 // SetGPUPowerLimit applies one board power cap to every GPU of the
 // job's nodes (w <= 0 restores the default TDP limit) and invalidates
@@ -273,18 +259,15 @@ func (p *Prepared) SetGPUClockLimitMHz(mhz float64) error {
 
 // buildExecs runs the cap solver once per unique kernel on every
 // device under the current cap/clock state — the only cap-dependent
-// computation of a run besides jitter and recording. Each solve goes
-// through the kernel's hoisted CapSolver rather than the full
-// resolve-and-bisect path; the result is bit-identical (pinned by
-// gpu's capsolver_test.go and the differential tests here).
+// computation of a run besides jitter and recording.
 func (p *Prepared) buildExecs() {
-	for ki := range p.kernels {
-		for ni := range p.job.Nodes {
-			srow := p.solvers[ki][ni]
-			row := p.execs[ki][ni]
-			for gi := range srow {
-				row[gi] = srow[gi].Solve()
-			}
+	nd := len(p.devices)
+	for ki := range p.solvers {
+		s := &p.solvers[ki]
+		row := p.execs[ki*nd : (ki+1)*nd]
+		for di, dev := range p.devices {
+			ex := s.Solve(dev)
+			row[di] = execution{ex.Duration, ex.Power, ex.MemPower}
 		}
 	}
 	p.execsValid = true
@@ -293,25 +276,13 @@ func (p *Prepared) buildExecs() {
 // Run executes the prepared job once, appending to each node's traces
 // (callers reset traces between repeats), drawing jitter from noise
 // (nil runs noise-free), and returns the summary. The jitter draw
-// order matches the oracle exactly: one whole-run factor, then one
-// per-step factor in step order.
+// order is one whole-run factor, then one per-step factor in step
+// order. The Result's EnergyJ is left zero: callers that report energy
+// read it off the traces with Energy, once per run they keep.
 //
 // The returned Result's PhaseDurations map is reused by the next Run
 // call on this Prepared; callers keeping it across runs must copy it.
 func (p *Prepared) Run(noise *rng.Stream) Result {
-	start := p.job.Nodes[0].TraceDuration()
-	res := p.RunNoEnergy(noise)
-	res.EnergyJ = p.Energy(start)
-	return res
-}
-
-// RunNoEnergy is Run without the node-sensor energy epilogue: the
-// returned Result carries EnergyJ == 0. A repeat loop that only ever
-// reports the winning repeat's energy (the sweep engine) uses this
-// per repeat and calls Energy once on the surviving traces — the
-// merge arithmetic runs on the same trace content either way, so the
-// deferred value is bit-identical to the eager one.
-func (p *Prepared) RunNoEnergy(noise *rng.Stream) Result {
 	if !p.execsValid {
 		p.buildExecs()
 	}
@@ -335,13 +306,14 @@ func (p *Prepared) RunNoEnergy(noise *rng.Stream) Result {
 		var dur float64
 		switch st.kind {
 		case method.StepGPU:
-			execs := p.execs[st.kernel]
+			// Every GPU runs the same kernel; the step ends at the
+			// slowest device (implicit barrier).
+			nd := len(p.devices)
+			execs := p.execs[st.kernel*nd : (st.kernel+1)*nd]
 			maxDur := 0.0
-			for _, row := range execs {
-				for gi := range row {
-					if row[gi].Duration > maxDur {
-						maxDur = row[gi].Duration
-					}
+			for i := range execs {
+				if execs[i].dur > maxDur {
+					maxDur = execs[i].dur
 				}
 			}
 			maxDur *= j
@@ -349,16 +321,20 @@ func (p *Prepared) RunNoEnergy(noise *rng.Stream) Result {
 				cp := &p.gpuCP[ni]
 				cp.CPU = p.hostOrchW[ni]
 				cp.Mem = st.memW[ni]
-				row := execs[ni]
+				row := execs[p.devOff[ni]:p.devOff[ni+1]]
 				idle := p.gpuIdle[ni]
 				hbm := p.hbmIdle[ni]
 				for i := range row {
-					busy := row[i].Duration / maxDur
+					// Devices that finish early wait at the barrier near
+					// idle; fold that into a duty-cycled average power.
+					// The HBM domain duty-cycles the same way
+					// (self-refresh while waiting).
+					busy := row[i].dur / maxDur
 					if busy > 1 {
 						busy = 1
 					}
-					cp.GPUs[i] = row[i].Power*busy + idle[i]*(1-busy)
-					cp.GPUMems[i] = row[i].MemPower*busy + hbm[i]*(1-busy)
+					cp.GPUs[i] = row[i].power*busy + idle[i]*(1-busy)
+					cp.GPUMems[i] = row[i].memW*busy + hbm[i]*(1-busy)
 				}
 				n.Record(maxDur, *cp)
 			}
@@ -374,26 +350,4 @@ func (p *Prepared) RunNoEnergy(noise *rng.Stream) Result {
 	}
 	res.Runtime = nodes[0].TraceDuration() - start
 	return res
-}
-
-// Energy computes the summed node-sensor energy of the traces
-// currently on the job's nodes, from start to each node's trace end —
-// Run's epilogue as a standalone pass. It merges into reusable
-// scratch with the same cursor arithmetic the memoized TotalTrace
-// uses — values identical, allocations zero in steady state. The
-// nodes' own memo caches are left untouched for the eventual
-// profiling pass.
-func (p *Prepared) Energy(start float64) float64 {
-	var energy float64
-	for _, n := range p.job.Nodes {
-		ptrs := append(p.ptrScratch[:0], n.CPUTrace(), n.MemTrace())
-		for gi := 0; gi < n.NumGPUs(); gi++ {
-			ptrs = append(ptrs, n.GPUTrace(gi))
-		}
-		p.ptrScratch = ptrs
-		sum := timeseries.SumInto(&p.sumScratch, ptrs...)
-		total := sum.AddConstantInto(&p.totalScratch, n.PeripheralPower())
-		energy += total.EnergyBetween(start, n.TraceDuration())
-	}
-	return energy
 }

@@ -64,9 +64,11 @@ func resultsEqual(t *testing.T, oracle, prep Result) {
 	}
 }
 
-// TestPreparedMatchesRunExactly pins the prepared engine to the oracle
+// TestPreparedMatchesRunExactly pins Run — Prepare plus one
+// Prepared.Run plus the trace energy — to the step-by-step oracle
 // across methods, node counts, device variability, and noise: every
-// float of every trace must be bit-identical.
+// float of every trace must be bit-identical, and so must the energy
+// and the noise stream's final state.
 func TestPreparedMatchesRunExactly(t *testing.T) {
 	for _, kind := range []method.Kind{method.DFTRMM, method.DFTBDRMM, method.HSE, method.ACFDTR} {
 		for _, nodes := range []int{1, 2} {
@@ -75,25 +77,33 @@ func TestPreparedMatchesRunExactly(t *testing.T) {
 				prepJob := testJob(t, kind, nodes, true)
 				if noisy {
 					oracleJob.Noise = rng.New(42)
+					prepJob.Noise = rng.New(42)
 				}
-				want, err := Run(oracleJob)
+				want, err := runOracle(oracleJob)
 				if err != nil {
 					t.Fatal(err)
 				}
-				prep, err := Prepare(prepJob)
+				got, err := Run(prepJob)
 				if err != nil {
 					t.Fatal(err)
 				}
-				var noise *rng.Stream
-				if noisy {
-					noise = rng.New(42)
-				}
-				got := prep.Run(noise)
 				resultsEqual(t, want, got)
 				nodesEqual(t, oracleJob.Nodes, prepJob.Nodes)
+				if noisy && oracleJob.Noise.Uint64() != prepJob.Noise.Uint64() {
+					t.Fatal("noise streams diverged")
+				}
 			}
 		}
 	}
+}
+
+// runPrepared is one Prepared.Run with its energy read off the traces,
+// as Run and the sweep engine report it.
+func runPrepared(prep *Prepared, noise *rng.Stream) Result {
+	start := prep.job.Nodes[0].TraceDuration()
+	res := prep.Run(noise)
+	res.EnergyJ = Energy(prep.job.Nodes, start)
+	return res
 }
 
 // TestPreparedSweepMatchesOracle reuses one Prepared across cap and
@@ -126,7 +136,7 @@ func TestPreparedSweepMatchesOracle(t *testing.T) {
 			}
 		}
 		oracleJob.Noise = rng.New(7)
-		want, err := Run(oracleJob)
+		want, err := runOracle(oracleJob)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +150,7 @@ func TestPreparedSweepMatchesOracle(t *testing.T) {
 		if err := prep.SetGPUPowerLimit(pt.capW); err != nil {
 			t.Fatal(err)
 		}
-		got := prep.Run(rng.New(7))
+		got := runPrepared(prep, rng.New(7))
 		resultsEqual(t, want, got)
 		nodesEqual(t, oracleJob.Nodes, prepJob.Nodes)
 	}

@@ -39,16 +39,20 @@ func RunExtScheduler(cfg Config) (ExtSchedulerResult, error) {
 		sched.DefaultProfileAware(),
 	}
 	// Simulate copies the job list and each policy gets its own
-	// catalog, so the three policies run concurrently.
+	// catalog, so the three policies run concurrently; the catalogs
+	// measure through the shared cache, so a profile two policies need
+	// is measured once.
 	results := make([]sched.Result, len(policies))
 	err := par.ForEach(context.Background(), cfg.workers(), len(policies),
 		func(_ context.Context, i int) error {
+			cat := sched.NewCatalogOn(cfg.platform(), cfg.seed())
+			cat.SetMeasure(CachedMeasureSpec)
 			r, err := sched.Simulate(sched.SimConfig{
 				ClusterNodes: nodes,
 				BudgetW:      budget,
 				IdleNodeW:    460,
 				Policy:       policies[i],
-				Catalog:      sched.NewCatalogOn(cfg.platform(), cfg.seed()),
+				Catalog:      cat,
 			}, jobs)
 			if err != nil {
 				return err

@@ -82,30 +82,19 @@ func RunExtC(cfg Config) (ExtCResult, error) {
 			// runs and checking the exact trace maximum (DVFS gives no
 			// hardware guarantee, so compliance must hold at every instant,
 			// not just on 2 s averages). The nine evaluations re-solve the
-			// same resolved schedule, so they ride one incremental sweep
-			// context; if the engine declines the spec (e.g. an active
-			// telemetry sink), each point falls back to the oracle Run —
-			// either path is bit-identical.
+			// same resolved schedule, so they ride one sweep.
 			gspec := cfg.platform().GPU
 			loMHz, hiMHz := gspec.MinClockFrac*gspec.MaxClockMHz, gspec.MaxClockMHz
-			spec := workloads.RunSpec{
+			sw, err := workloads.NewSweep(workloads.RunSpec{
 				Bench: b, Platform: cfg.platform(), Nodes: 1,
 				Repeats: cfg.repeats(), Seed: cfg.seed(),
+			})
+			if err != nil {
+				return err
 			}
-			sw, swErr := workloads.NewSweep(spec)
-			if swErr == nil {
-				defer sw.Close()
-			}
-			runAt := func(mhz float64) (workloads.RunOutput, error) {
-				if swErr == nil {
-					return sw.RunClockMHz(mhz)
-				}
-				pt := spec
-				pt.GPUClockLimitMHz = mhz
-				return workloads.Run(pt)
-			}
+			defer sw.Close()
 			eval := func(mhz float64) (core.JobProfile, float64, error) {
-				out, err := runAt(mhz)
+				out, err := sw.RunClockMHz(mhz)
 				if err != nil {
 					return core.JobProfile{}, 0, err
 				}

@@ -2,40 +2,35 @@ package gpu
 
 import "math"
 
-// CapSolver is the cap-independent half of one (device, kernel)
-// execution, built once per sweep by the incremental engine: every
-// constant of powerAt/timeAt/memPowerAt that does not depend on the
-// clock — resolved-profile products, the memory-side duration, the
-// static power base — hoisted out of the cap solver's bisection loop.
-// Solve then re-runs only the clock decision under the device's
-// current power and clock limits.
+// CapSolver is the device-independent half of running one kernel on a
+// device model: every constant of the power and timing model that
+// depends on neither the clock nor the device's manufacturing
+// variability — resolved-profile products, the memory-side duration,
+// the memory-bound fast path — computed once per kernel. Solve then
+// applies one device's two variability scales and runs the clock
+// decision under that device's current power and clock limits, so one
+// CapSolver serves every device of a job and every point of a sweep.
 //
-// Every hoisted value is a contiguous subtree of the original
-// expression, evaluated in the same order on the same inputs, so
-// Solve's Execution is bit-identical to Run's (pinned by the
-// differential tests in capsolver_test.go). The big win is the
-// memory-bound case — common across the VASP methods' FFT-heavy
-// schedules — where the kernel duration does not depend on the clock
-// at all and the bisection predicate collapses to a handful of flops.
+// Every hoisted value is a contiguous subtree of the model's
+// expression, evaluated in the same order on the same inputs, so Solve
+// is bit-identical to the unhoisted model (pinned against the
+// retained full-evaluation oracle by capsolver_test.go). The big win
+// is the memory-bound case — common across the VASP methods'
+// FFT-heavy schedules — where the kernel duration does not depend on
+// the clock at all and the bisection predicate collapses to a handful
+// of flops.
 type CapSolver struct {
-	g *GPU
-	k Kernel
-	p ExecProfile
-
-	// Hoisted subtrees of timeAt.
-	latency float64
-	fcDen   float64 // ComputeOcc·PeakFlops (tc = Flops/(fcDen·c))
-	tm      float64 // memory-side duration, clock-independent
-
-	// Hoisted subtrees of powerAt.
-	base    float64 // IdleWatts·idleScale + ActiveBase·idleScale
-	eff     float64 // effScale (· PowerScale)
-	cs      float64 // CompPowerFull·smActivity(p)
-	gamma   float64 // Gamma
-	gamma3  float64 // 1−Gamma
-	idleP   float64 // powerAt's t ≤ 0 fallback
-	hbmIdle float64 // memPowerAt's t ≤ 0 fallback
-	effMemF float64 // eff·MemPowerFull (memPowerAt's dynamic factor)
+	bytes      float64 // Kernel.Bytes
+	flops      float64 // Kernel.Flops
+	latency    float64 // ExecProfile.Latency
+	powerScale float64 // ExecProfile.PowerScale (0 = reference data)
+	fcDen      float64 // ComputeOcc·PeakFlops (tc = Flops/(fcDen·c))
+	tm         float64 // memory-side duration, clock-independent
+	cs         float64 // CompPowerFull·smActivity(p)
+	gamma      float64 // Gamma
+	gamma3     float64 // 1−Gamma
+	memFull    float64 // MemPowerFull
+	peakMemBW  float64 // PeakMemBW
 
 	// memBound: the kernel is memory-bound at every clock the device
 	// can run (tc(MinClockFrac) ≤ tm, and tc only shrinks as the clock
@@ -44,33 +39,27 @@ type CapSolver struct {
 	memBound bool
 	tConst   float64 // latency + tm
 	csActive float64 // cs·active at the constant duration
-	memTerm  float64 // MemPowerFull·(byteRate/PeakMemBW), powerAt's tree
-	memPowC  float64 // memPowerAt at the constant duration
+	bwFrac   float64 // byteRate/PeakMemBW at the constant duration
+	memTerm  float64 // MemPowerFull·bwFrac
 }
 
-// NewCapSolver hoists the cap-independent constants of running k on g
-// under its resolved profile p. The profile must be g's own
-// Model().Resolve(k) result; given that, Solve is bit-identical to
-// g.Run(k) under every power and clock limit.
-func (g *GPU) NewCapSolver(k Kernel, p ExecProfile) CapSolver {
-	sp := g.Spec
+// NewCapSolver hoists the device-independent constants of running k
+// on a device of the given spec under its resolved profile p. The
+// profile must be the device table's Resolve(k) result; given that,
+// Solve(g) on any device g of this spec is bit-identical to the full
+// model under every power and clock limit.
+func NewCapSolver(sp Spec, k Kernel, p ExecProfile) CapSolver {
 	s := CapSolver{
-		g:       g,
-		k:       k,
-		p:       p,
-		latency: p.Latency,
-		base:    sp.IdleWatts*g.idleScale + sp.ActiveBase*g.idleScale,
-		eff:     g.effScale,
-		cs:      sp.CompPowerFull * smActivity(p),
-		gamma:   sp.Gamma,
-		gamma3:  1 - sp.Gamma,
-		idleP:   g.IdlePower(),
-		hbmIdle: g.HBMIdlePower(),
+		bytes:      k.Bytes,
+		flops:      k.Flops,
+		latency:    p.Latency,
+		powerScale: p.PowerScale,
+		cs:         sp.CompPowerFull * smActivity(p),
+		gamma:      sp.Gamma,
+		gamma3:     1 - sp.Gamma,
+		memFull:    sp.MemPowerFull,
+		peakMemBW:  sp.PeakMemBW,
 	}
-	if p.PowerScale != 0 {
-		s.eff *= p.PowerScale
-	}
-	s.effMemF = s.eff * sp.MemPowerFull
 	if k.Flops > 0 {
 		s.fcDen = p.ComputeOcc * sp.PeakFlops
 	}
@@ -98,28 +87,81 @@ func (g *GPU) NewCapSolver(k Kernel, p ExecProfile) CapSolver {
 				}
 			}
 			s.csActive = s.cs * active
-			s.memTerm = sp.MemPowerFull * (byteRate / sp.PeakMemBW)
-			s.memPowC = s.hbmIdle + s.effMemF*(byteRate/sp.PeakMemBW)
+			s.bwFrac = byteRate / sp.PeakMemBW
+			s.memTerm = sp.MemPowerFull * s.bwFrac
 		}
 	}
 	return s
 }
 
-// powerAt mirrors (*GPU).powerAt with the hoisted constants.
-func (s *CapSolver) powerAt(c float64) float64 {
+// smActivity resolves the profile's SM busyness.
+func smActivity(p ExecProfile) float64 {
+	if p.SMActivity > 0 {
+		return p.SMActivity
+	}
+	return p.ComputeOcc
+}
+
+// deviceTerms are the per-device factors of the power model: the
+// static base and dynamic efficiency after the device's variability
+// scales.
+type deviceTerms struct {
+	base    float64 // IdleWatts·idleScale + ActiveBase·idleScale
+	eff     float64 // effScale (· PowerScale)
+	effMemF float64 // eff·MemPowerFull
+	idleP   float64 // power at t ≤ 0
+	hbmIdle float64 // memory-domain power at t ≤ 0
+}
+
+func (s *CapSolver) terms(g *GPU) deviceTerms {
+	sp := &g.Spec
+	d := deviceTerms{
+		base:    sp.IdleWatts*g.idleScale + sp.ActiveBase*g.idleScale,
+		eff:     g.effScale,
+		idleP:   g.IdlePower(),
+		hbmIdle: g.HBMIdlePower(),
+	}
+	// The operand-entropy factor scales dynamic power only: static
+	// draw does not depend on what the wires carry.
+	if s.powerScale != 0 {
+		d.eff *= s.powerScale
+	}
+	d.effMemF = d.eff * sp.MemPowerFull
+	return d
+}
+
+// timeAt returns the kernel duration at clock fraction c. Memory
+// bandwidth is clock-independent: the power cap governs SM clocks
+// only, as on real A100s.
+func (s *CapSolver) timeAt(c float64) float64 {
+	if s.memBound {
+		return s.tConst
+	}
+	var tc float64
+	if s.flops > 0 {
+		tc = s.flops / (s.fcDen * c)
+	}
+	return s.latency + math.Max(tc, s.tm)
+}
+
+// powerAt returns sustained board power while the kernel runs at
+// clock c.
+func (s *CapSolver) powerAt(d *deviceTerms, c float64) float64 {
+	// Dynamic SM power ∝ V²f ≈ γ·c + (1−γ)·c³.
+	cf := s.gamma*c + s.gamma3*c*c*c
 	if s.memBound {
 		if s.tConst <= 0 {
-			return s.idleP
+			return d.idleP
 		}
-		cf := s.gamma*c + s.gamma3*c*c*c
-		return s.base + s.eff*(s.csActive*cf+s.memTerm)
+		return d.base + d.eff*(s.csActive*cf+s.memTerm)
 	}
 	t := s.timeAt(c)
 	if t <= 0 {
-		return s.idleP
+		return d.idleP
 	}
-	byteRate := s.k.Bytes / t
-	cf := s.gamma*c + s.gamma3*c*c*c
+	byteRate := s.bytes / t
+	// During the fixed-latency portion (launch gaps, serial chains)
+	// the SMs are quiet: duty-cycle the SM term.
 	active := 1.0
 	if s.latency > 0 && t > 0 {
 		active = (t - s.latency) / t
@@ -127,64 +169,57 @@ func (s *CapSolver) powerAt(c float64) float64 {
 			active = 0
 		}
 	}
-	return s.base + s.eff*(s.cs*active*cf+
-		s.g.Spec.MemPowerFull*(byteRate/s.g.Spec.PeakMemBW))
+	return d.base + d.eff*(s.cs*active*cf+s.memFull*(byteRate/s.peakMemBW))
 }
 
-// timeAt mirrors (*GPU).timeAt with the hoisted constants.
-func (s *CapSolver) timeAt(c float64) float64 {
-	if s.memBound {
-		return s.tConst
-	}
-	var tc float64
-	if s.k.Flops > 0 {
-		tc = s.k.Flops / (s.fcDen * c)
-	}
-	return s.latency + math.Max(tc, s.tm)
-}
-
-// memPowerAt mirrors (*GPU).memPowerAt with the hoisted constants.
-func (s *CapSolver) memPowerAt(c float64) float64 {
+// memPowerAt returns the memory-domain share of powerAt: the HBM idle
+// share plus the dynamic bandwidth term. Both terms also appear inside
+// powerAt, so memPowerAt ≤ powerAt at every clock (the rest of the
+// board — SMs, base, the non-HBM idle share — is non-negative), which
+// is what keeps the domain decomposition consistent with the board
+// total.
+func (s *CapSolver) memPowerAt(d *deviceTerms, c float64) float64 {
 	if s.memBound {
 		if s.tConst <= 0 {
-			return s.hbmIdle
+			return d.hbmIdle
 		}
-		return s.memPowC
+		return d.hbmIdle + d.effMemF*s.bwFrac
 	}
 	t := s.timeAt(c)
 	if t <= 0 {
-		return s.hbmIdle
+		return d.hbmIdle
 	}
-	byteRate := s.k.Bytes / t
-	return s.hbmIdle + s.effMemF*(byteRate/s.g.Spec.PeakMemBW)
+	byteRate := s.bytes / t
+	return d.hbmIdle + d.effMemF*(byteRate/s.peakMemBW)
 }
 
-// Solve runs the cap solver under the device's current power and clock
-// limits — the same uncapped fast path, floor overshoot, and
-// 48-iteration bisection as (*GPU).runResolved, with the per-iteration
-// predicate reduced to the hoisted arithmetic.
-func (s *CapSolver) Solve() Execution {
-	g := s.g
+// Solve runs the kernel on g under g's current power and clock limits:
+// the uncapped fast path, the floor overshoot, or a 48-iteration
+// bisection for the highest clock whose power fits the cap. g must be
+// a device of the spec the solver was built for.
+func (s *CapSolver) Solve(g *GPU) Execution {
+	d := s.terms(g)
 	cap := g.effectiveCap()
 	cMin := g.Spec.MinClockFrac
-	cMax := g.clockLimit
-	if pw := s.powerAt(cMax); pw <= cap {
+	cMax := g.clockLimit // DVFS ceiling (1 when unlocked)
+	if pw := s.powerAt(&d, cMax); pw <= cap {
 		return Execution{Duration: s.timeAt(cMax), Power: pw,
-			MemPower: s.memPowerAt(cMax), ClockFrac: cMax, Capped: cMax < 1}
+			MemPower: s.memPowerAt(&d, cMax), ClockFrac: cMax, Capped: cMax < 1}
 	}
-	if pw := s.powerAt(cMin); pw > cap {
+	if pw := s.powerAt(&d, cMin); pw > cap {
+		// Cap unachievable: run at the floor, overshooting.
 		return Execution{Duration: s.timeAt(cMin), Power: pw,
-			MemPower: s.memPowerAt(cMin), ClockFrac: cMin, Capped: true}
+			MemPower: s.memPowerAt(&d, cMin), ClockFrac: cMin, Capped: true}
 	}
 	lo, hi := cMin, cMax
 	for i := 0; i < 48; i++ {
 		mid := (lo + hi) / 2
-		if s.powerAt(mid) <= cap {
+		if s.powerAt(&d, mid) <= cap {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
-	return Execution{Duration: s.timeAt(lo), Power: s.powerAt(lo),
-		MemPower: s.memPowerAt(lo), ClockFrac: lo, Capped: true}
+	return Execution{Duration: s.timeAt(lo), Power: s.powerAt(&d, lo),
+		MemPower: s.memPowerAt(&d, lo), ClockFrac: lo, Capped: true}
 }

@@ -7,11 +7,12 @@ import (
 )
 
 // execsEqual demands exact float equality on every Execution field —
-// the CapSolver contract is bit-identity with Run, not tolerance.
+// the CapSolver contract is bit-identity with the full-evaluation
+// oracle, not tolerance.
 func execsEqual(t *testing.T, label string, want, got Execution) {
 	t.Helper()
 	if want != got {
-		t.Fatalf("%s: solver %+v vs Run %+v", label, got, want)
+		t.Fatalf("%s: solver %+v vs oracle %+v", label, got, want)
 	}
 }
 
@@ -31,18 +32,41 @@ func capSolverDevices() []*GPU {
 	return devs
 }
 
-// TestCapSolverMatchesRun pins NewCapSolver(k, p).Solve() to g.Run(k)
-// bit-for-bit across kernels (fixed compute- and memory-bound plus a
-// random draw from every class), devices with seeded variability, and
+// TestCapSolverMatchesRun pins NewCapSolver(spec, k, p).Solve(g) — and
+// Run, UncappedPower and UncappedDuration, which go through it — to
+// the full-evaluation oracle bit for bit across kernels (fixed
+// compute- and memory-bound plus random draws from every class, half
+// of them made memory-bound),
+// devices with seeded variability sharing one solver per kernel, and
 // the full power- and clock-limit grid — uncapped, binding, and floor.
 func TestCapSolverMatchesRun(t *testing.T) {
 	kr := rng.New(41)
 	kernels := []Kernel{dgemmKernel(), streamKernel()}
 	for i := 0; i < 24; i++ {
 		kernels = append(kernels, randomKernel(kr))
+		// The same work with a thousandth of the flops is memory-bound
+		// at every clock: random draws alone rarely reach the
+		// memory-bound fast path.
+		mk := randomKernel(kr)
+		mk.Flops /= 1e3
+		kernels = append(kernels, mk)
 	}
 
-	for di, g := range capSolverDevices() {
+	devs := capSolverDevices()
+	solvers := make(map[string][]CapSolver)
+	for _, g := range devs {
+		if solvers[g.Spec.Name] != nil {
+			continue
+		}
+		for _, k := range kernels {
+			p, err := g.Resolve(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			solvers[g.Spec.Name] = append(solvers[g.Spec.Name], NewCapSolver(g.Spec, k, p))
+		}
+	}
+	for di, g := range devs {
 		caps := []float64{0, g.Spec.TDP, g.Spec.MinPowerLimit,
 			g.Spec.MinPowerLimit + 30, 200, 250, 330}
 		clocks := []float64{0, g.Spec.MaxClockMHz,
@@ -52,7 +76,13 @@ func TestCapSolverMatchesRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := g.NewCapSolver(k, p)
+			s := solvers[g.Spec.Name][ki]
+			if got, want := g.UncappedPower(k), g.powerAt(k, p, 1); got != want {
+				t.Fatalf("dev=%d kernel=%d: UncappedPower %v vs oracle %v", di, ki, got, want)
+			}
+			if got, want := g.UncappedDuration(k), g.timeAt(k, p, 1); got != want {
+				t.Fatalf("dev=%d kernel=%d: UncappedDuration %v vs oracle %v", di, ki, got, want)
+			}
 			for _, capW := range caps {
 				for _, mhz := range clocks {
 					if capW == 0 {
@@ -65,11 +95,10 @@ func TestCapSolverMatchesRun(t *testing.T) {
 					} else if err := g.SetClockLimitMHz(mhz); err != nil {
 						t.Fatal(err)
 					}
-					want := g.Run(k)
-					got := s.Solve()
-					execsEqual(t, // label carries the failing grid point
-						// (device, kernel, cap, clock)
-						kernelGridLabel(di, ki, capW, mhz), want, got)
+					want := g.runOracle(k)
+					label := kernelGridLabel(di, ki, capW, mhz)
+					execsEqual(t, label, want, s.Solve(g))
+					execsEqual(t, label+" (Run)", want, g.Run(k))
 				}
 			}
 			g.ResetPowerLimit()
@@ -103,19 +132,19 @@ func itoa(v int) string {
 func TestCapSolverMemBoundFastPath(t *testing.T) {
 	g := nominal()
 	sk := streamKernel()
-	s := g.NewCapSolver(sk, resolve(t, g, sk))
+	s := NewCapSolver(g.Spec, sk, resolve(t, g, sk))
 	if !s.memBound {
 		t.Fatal("STREAM kernel not detected as memory-bound")
 	}
 	dk := dgemmKernel()
-	s = g.NewCapSolver(dk, resolve(t, g, dk))
+	s = NewCapSolver(g.Spec, dk, resolve(t, g, dk))
 	if s.memBound {
 		t.Fatal("DGEMM kernel mis-detected as memory-bound")
 	}
 }
 
 // BenchmarkCapSolverSolve measures the per-point bisection cost the
-// prepared engine pays, against the oracle's resolve-and-bisect.
+// prepared engine pays, against the oracle's full resolve-and-bisect.
 func BenchmarkCapSolverSolve(b *testing.B) {
 	g := nominal()
 	if err := g.SetPowerLimit(250); err != nil {
@@ -129,15 +158,15 @@ func BenchmarkCapSolverSolve(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s := g.NewCapSolver(bc.k, p)
+		s := NewCapSolver(g.Spec, bc.k, p)
 		b.Run(bc.name+"/oracle", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				g.Run(bc.k)
+				g.runOracle(bc.k)
 			}
 		})
 		b.Run(bc.name+"/capsolver", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s.Solve()
+				s.Solve(g)
 			}
 		})
 	}

@@ -220,7 +220,8 @@ func (n *Node) GPUSumTrace() *timeseries.Trace {
 // callers must not mutate it.
 func (n *Node) TotalTrace() *timeseries.Trace {
 	if n.totalCache == nil {
-		traces := []*timeseries.Trace{&n.cpuTrace, &n.memTrace}
+		traces := make([]*timeseries.Trace, 0, 2+len(n.gpuTraces))
+		traces = append(traces, &n.cpuTrace, &n.memTrace)
 		for i := range n.gpuTraces {
 			traces = append(traces, &n.gpuTraces[i])
 		}

@@ -95,7 +95,7 @@ type Result struct {
 // buckets, and a packing pass runs only at 30-second cycle boundaries
 // that follow a capacity change (arrival, completion, budget phase) —
 // never on an unconditional ticker. The results are bit-identical to
-// the retained reference implementation (see oracle.go and the
+// the retained reference implementation (see oracle_test.go and the
 // equivalence argument in DESIGN.md): within a pass capacity only
 // shrinks, so FIFO first-fit-skip over the whole queue equals
 // repeatedly starting the lowest-sequence fitting bucket head, and a

@@ -387,24 +387,36 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.limiter.Release(1)
 
-	s.m.Misses.Inc()
-	e, coalesced, err := s.cache.do(ctx, measureCanonKey(spec), func() (int, []byte, error) {
+	e, o, err := s.cache.do(ctx, measureCanonKey(spec), func() (int, []byte, error) {
 		jp, err := s.cfg.Measure(spec)
 		if err != nil {
 			return http.StatusInternalServerError, nil, err
 		}
 		return encodeJSON(buildMeasureResponse(spec, jp))
 	})
-	if coalesced {
-		s.m.Coalesced.Inc()
-	}
+	s.count(o)
 	if err != nil {
 		s.evalError(w, err)
 		return
 	}
 	s.cache.alias(body, e)
-	writeEntry(w, e, false)
+	writeEntry(w, e, o == outcomeHit)
 	s.observeLatency(start)
+}
+
+// count scores a request that reached the response cache's canonical
+// index by how it was served: a completed entry is a hit, anything
+// else a miss (and a coalesced one if it joined another's flight).
+func (s *Server) count(o outcome) {
+	switch o {
+	case outcomeHit:
+		s.m.Hits.Inc()
+	case outcomeCoalesced:
+		s.m.Misses.Inc()
+		s.m.Coalesced.Inc()
+	default:
+		s.m.Misses.Inc()
+	}
 }
 
 // contextWithTimeout applies the endpoint budget on top of the
@@ -603,15 +615,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.limiter.Release(weight)
-	s.m.Misses.Inc()
-
 	if req.Stream {
+		s.m.Misses.Inc()
 		s.streamSweep(ctx, w, req, specs)
 		s.observeLatency(start)
 		return
 	}
 
-	e, coalesced, err := s.cache.do(ctx, sweepCanonKey(req.Kind, specs), func() (int, []byte, error) {
+	e, o, err := s.cache.do(ctx, sweepCanonKey(req.Kind, specs), func() (int, []byte, error) {
 		jps, err := s.batcher.Measure(ctx, specs)
 		if err != nil {
 			return http.StatusInternalServerError, nil, err
@@ -628,15 +639,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		return encodeJSON(resp)
 	})
-	if coalesced {
-		s.m.Coalesced.Inc()
-	}
+	s.count(o)
 	if err != nil {
 		s.evalError(w, err)
 		return
 	}
 	s.cache.alias(body, e)
-	writeEntry(w, e, false)
+	writeEntry(w, e, o == outcomeHit)
 	s.observeLatency(start)
 }
 
@@ -837,9 +846,8 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.limiter.Release(scheduleWeight)
-	s.m.Misses.Inc()
 
-	e, coalesced, err := s.cache.do(ctx, scheduleCanonKey(req, p.Name), func() (int, []byte, error) {
+	e, o, err := s.cache.do(ctx, scheduleCanonKey(req, p.Name), func() (int, []byte, error) {
 		idle := req.IdleNodeW
 		if idle == 0 {
 			idle = defaultIdleNodeW
@@ -880,15 +888,13 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			ThroughputJobsH: res.Throughput,
 		})
 	})
-	if coalesced {
-		s.m.Coalesced.Inc()
-	}
+	s.count(o)
 	if err != nil {
 		s.evalError(w, err)
 		return
 	}
 	s.cache.alias(body, e)
-	writeEntry(w, e, false)
+	writeEntry(w, e, o == outcomeHit)
 	s.observeLatency(start)
 }
 

@@ -132,31 +132,42 @@ func (c *respCache) alias(body []byte, e *respEntry) {
 	s.mu.Unlock()
 }
 
+// outcome is how respCache.do served one caller.
+type outcome uint8
+
+const (
+	outcomeComputed  outcome = iota // this caller ran fill
+	outcomeCoalesced                // waited on another caller's fill
+	outcomeHit                      // found the entry already complete
+)
+
 // do returns the entry for canonKey, running fill at most once across
 // concurrent callers: the first caller in computes (and its entry is
 // cached only on success, like the memo tiers — errors are delivered
 // to the flight's waiters, then retried by the next caller), later
-// callers block on the in-flight entry and are reported coalesced.
-// ctx bounds only the waiting of coalesced callers; the computing
-// caller runs fill to completion so waiters always get a result.
-func (c *respCache) do(ctx context.Context, canonKey string, fill func() (status int, body []byte, err error)) (e *respEntry, coalesced bool, err error) {
+// callers block on the in-flight entry and are reported coalesced, and
+// callers that find it complete — a canonically equal request whose
+// body has no alias yet — are reported as hits. ctx bounds only the
+// waiting of coalesced callers; the computing caller runs fill to
+// completion so waiters always get a result.
+func (c *respCache) do(ctx context.Context, canonKey string, fill func() (status int, body []byte, err error)) (*respEntry, outcome, error) {
 	s := &c.shards[fnv32aString(canonKey)%respShardCount]
 	s.mu.Lock()
 	if e, ok := s.entries[canonKey]; ok {
 		s.mu.Unlock()
 		select {
 		case <-e.done:
-			return e, false, e.err
+			return e, outcomeHit, e.err
 		default:
 		}
 		select {
 		case <-e.done:
-			return e, true, e.err
+			return e, outcomeCoalesced, e.err
 		case <-ctx.Done():
-			return nil, true, ctx.Err()
+			return nil, outcomeCoalesced, ctx.Err()
 		}
 	}
-	e = &respEntry{done: make(chan struct{})}
+	e := &respEntry{done: make(chan struct{})}
 	if len(s.entries) >= c.maxPerShard {
 		s.entries = make(map[string]*respEntry)
 	}
@@ -174,7 +185,7 @@ func (c *respCache) do(ctx context.Context, canonKey string, fill func() (status
 		s.mu.Unlock()
 	}
 	close(e.done)
-	return e, false, e.err
+	return e, outcomeComputed, e.err
 }
 
 // Len returns the number of completed-or-in-flight canonical entries

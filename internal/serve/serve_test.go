@@ -181,6 +181,25 @@ func TestAliasByteBound(t *testing.T) {
 	}
 }
 
+// TestCompletedEntryCountsAsHit: a request that finds its canonical
+// entry already complete — here because its body is too large to
+// alias — is served and counted as a hit, not as a miss.
+func TestCompletedEntryCountsAsHit(t *testing.T) {
+	s, f := newTestServer(t, nil)
+	body := `{"bench":"Si256_hse"}` + strings.Repeat(" ", maxAliasBody)
+	for i, want := range []string{"miss", "hit"} {
+		w := post(t, s, "/v1/measure", body)
+		if w.Code != 200 || w.Header().Get("X-Cache") != want {
+			t.Fatalf("request %d: status %d X-Cache %q, want 200 %q", i, w.Code, w.Header().Get("X-Cache"), want)
+		}
+	}
+	m := s.Metrics()
+	if f.evals.Load() != 1 || m.Misses.Value() != 1 || m.Hits.Value() != 1 || m.Coalesced.Value() != 0 {
+		t.Fatalf("evals %d misses %d hits %d coalesced %d, want 1 1 1 0",
+			f.evals.Load(), m.Misses.Value(), m.Hits.Value(), m.Coalesced.Value())
+	}
+}
+
 // TestCoalescingBurst holds the single evaluation open while N
 // identical requests pile in: exactly one evaluation runs, everyone
 // gets the same bytes, and the followers count as coalesced.
@@ -201,11 +220,14 @@ func TestCoalescingBurst(t *testing.T) {
 			bodies[i] = w.Body.Bytes()
 		}(i)
 	}
-	// Wait for the one evaluation to be in flight, then let it finish.
+	// Wait for the one evaluation to be in flight with every request
+	// admitted behind it, then let it finish. Admission is the last
+	// step before the flight lookup, so the followers coalesce instead
+	// of arriving after the leader and counting as hits.
 	deadline := time.Now().Add(5 * time.Second)
-	for f.evals.Load() == 0 {
+	for f.evals.Load() == 0 || s.limiter.InFlight() < n {
 		if time.Now().After(deadline) {
-			t.Fatal("no evaluation started")
+			t.Fatalf("evaluations %d, admitted %d of %d", f.evals.Load(), s.limiter.InFlight(), n)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -1052,20 +1074,21 @@ func mustSpec(t *testing.T, req measureRequest) core.MeasureSpec {
 }
 
 func TestWaitForShutdown(t *testing.T) {
-	if got := WaitForShutdown(0); got != "hold elapsed" {
+	if got := CatchShutdown()(0); got != "hold elapsed" {
 		t.Fatalf("hold 0: %q", got)
 	}
 	start := time.Now()
-	if got := WaitForShutdown(20 * time.Millisecond); got != "hold elapsed" {
+	if got := CatchShutdown()(20 * time.Millisecond); got != "hold elapsed" {
 		t.Fatalf("short hold: %q", got)
 	}
 	if time.Since(start) < 20*time.Millisecond {
 		t.Fatal("short hold returned early without a signal")
 	}
-	// A signal ends an indefinite hold.
+	// A signal ends an indefinite hold, even one sent before the wait
+	// starts: the handler is installed by CatchShutdown.
+	wait := CatchShutdown()
 	done := make(chan string, 1)
-	go func() { done <- WaitForShutdown(-1) }()
-	time.Sleep(50 * time.Millisecond) // let Notify install
+	go func() { done <- wait(-1) }()
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}

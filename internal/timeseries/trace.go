@@ -208,18 +208,11 @@ func (t *Trace) Scale(k float64) *Trace {
 // preallocated trace, so adjacent segments whose offset powers round
 // to the same value merge exactly as if appended directly.
 func (t *Trace) AddConstant(k float64) *Trace {
-	return t.AddConstantInto(&Trace{segs: make([]Segment, 0, len(t.segs))}, k)
-}
-
-// AddConstantInto is AddConstant into a caller-owned trace, reusing
-// dst's segment storage (the sweep engine's arena form). dst is reset
-// first and must not be t; values are identical to AddConstant's.
-func (t *Trace) AddConstantInto(dst *Trace, k float64) *Trace {
-	dst.segs = dst.segs[:0]
+	c := &Trace{segs: make([]Segment, 0, len(t.segs))}
 	for _, s := range t.segs {
-		dst.Append(s.Dur, s.Power+k)
+		c.Append(s.Dur, s.Power+k)
 	}
-	return dst
+	return c
 }
 
 // Map returns a new trace with every power value replaced by f(power).
@@ -286,25 +279,18 @@ func (c *sumCursor) boundary() float64 {
 // reference bit for bit (pinned by the differential tests against
 // sumReference).
 func Sum(traces ...*Trace) *Trace {
-	return SumInto(&Trace{}, traces...)
-}
-
-// SumInto computes Sum(traces...) into dst, reusing dst's segment
-// storage across calls — the allocation-free form the incremental
-// sweep engine uses to rebuild node sensor traces once per cap point.
-// dst is reset first and must not be one of the inputs. The merged
-// values are bit-identical to Sum's (it is the same cursor merge).
-func SumInto(dst *Trace, traces ...*Trace) *Trace {
 	const eps = 1e-12
 	// The cursor slice lives on the stack for any realistic component
-	// count (a node sums CPU + DDR + a handful of GPUs), keeping the
-	// steady-state call allocation-free.
+	// count (a node sums CPU + DDR + a handful of GPUs).
 	var cbuf [8]sumCursor
 	cursors := cbuf[:0]
 	if len(traces) > len(cbuf) {
 		cursors = make([]sumCursor, 0, len(traces))
 	}
-	boundaries := 0
+	// Each input of n segments has n+1 distinct boundaries, and the
+	// output has at most one segment per pair of consecutive distinct
+	// breakpoints (plus a zero lead-in), so this bounds its length.
+	outSegs := 0
 	for _, tr := range traces {
 		// Empty traces contribute no breakpoints and no power (their
 		// duration is 0); dropping them here preserves the argument
@@ -314,16 +300,13 @@ func SumInto(dst *Trace, traces ...*Trace) *Trace {
 			continue
 		}
 		cursors = append(cursors, sumCursor{segs: tr.segs, dur: tr.Duration()})
-		boundaries += 2 * len(tr.segs)
+		outSegs += len(tr.segs) + 1
 	}
-	if cap(dst.segs) < boundaries {
-		dst.segs = make([]Segment, 0, boundaries)
-	} else {
-		dst.segs = dst.segs[:0]
-	}
+	dst := &Trace{}
 	if len(cursors) == 0 {
 		return dst
 	}
+	dst.segs = make([]Segment, 0, outSegs)
 	first := true
 	var origin, prev float64
 	for {

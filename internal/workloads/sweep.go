@@ -35,8 +35,9 @@ func ActiveSweeps() int64 { return activeSweeps.Load() }
 // with that point's cap or clock limit: each repeat draws from a value
 // snapshot of the same labeled noise stream, the single node
 // allocation is identical to the per-repeat allocations (same platform
-// + seed), and the prepared solver replicates the oracle's arithmetic
-// exactly (pinned by the differential tests).
+// + seed), and a re-capped Prepared reproduces a fresh one exactly
+// (pinned by the differential tests). Like Run, each point publishes
+// its selected repeat to the active telemetry sink, if any.
 //
 // A Sweep is not safe for concurrent use. The RunOutput of a Run*
 // call — its nodes' traces, runtimes slice, result map, and phase
@@ -64,15 +65,8 @@ type Sweep struct {
 
 // NewSweep performs the cap-independent resolution phase for spec.
 // The spec must not request the prelude protocol or carry its own
-// cap/clock limits (those are per-point: RunCap, RunClockMHz), and
-// the sweep engine is unavailable while a telemetry sink is active —
-// the sink streams from trace cursors asynchronously, which arena
-// reuse would corrupt. Callers fall back to the per-point oracle
-// (Run) on error.
+// cap/clock limits (those are per-point: RunCap, RunClockMHz).
 func NewSweep(spec RunSpec) (*Sweep, error) {
-	if telemetry.ActiveSink() != nil {
-		return nil, fmt.Errorf("workloads: sweep engine unavailable while a telemetry sink is active")
-	}
 	if spec.Prelude {
 		return nil, fmt.Errorf("workloads: sweep engine does not support the prelude protocol")
 	}
@@ -147,11 +141,6 @@ func NewSweep(spec RunSpec) (*Sweep, error) {
 	return s, nil
 }
 
-// UniqueKernels reports how many distinct GPU work descriptors the
-// schedule resolved to — the per-point cap-solve cost scales with this
-// rather than the step count.
-func (s *Sweep) UniqueKernels() int { return s.prep.Kernels() }
-
 // RunCap measures one cap point: every GPU capped at capW watts
 // (capW <= 0 = the default TDP limit), clocks unlocked. Equivalent to
 // Run with GPUPowerLimit: capW.
@@ -197,10 +186,7 @@ func (s *Sweep) run() (RunOutput, error) {
 		}
 		s.scratch = s.noises[r]
 		start := s.nodes[0].TraceDuration()
-		// Energy is deferred: only the winning repeat's energy is ever
-		// reported, so the trace merge runs once per point (below, on
-		// the surviving traces) instead of once per repeat.
-		res := s.prep.RunNoEnergy(&s.scratch)
+		res := s.prep.Run(&s.scratch)
 		end := s.nodes[0].TraceDuration()
 		s.runtimes[r] = res.Runtime
 		if r == 0 || res.Runtime < bestRuntime {
@@ -219,9 +205,16 @@ func (s *Sweep) run() (RunOutput, error) {
 	}
 	// The banks hold the winner; swap it back so the output nodes carry
 	// the best repeat's traces (the scrap storage parks in the banks
-	// for the next point), then settle the deferred energy from them.
+	// for the next point). Only the winner's energy is reported, so it
+	// is read once per point, off the memoized node totals the
+	// profiling pass and the telemetry sink reuse.
 	s.swapBanks()
-	s.bestRes.EnergyJ = s.prep.Energy(bestStart)
+	s.bestRes.EnergyJ = solver.Energy(s.nodes, bestStart)
+	// Publish before the arena is reused: PublishRun drains the traces
+	// synchronously.
+	if sink := telemetry.ActiveSink(); sink != nil {
+		sink.PublishRun(s.nodes)
+	}
 	clear(s.windows)
 	s.windows["vasp"] = [2]float64{bestStart, bestEnd}
 	return RunOutput{

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"reflect"
 	"testing"
 
 	"vasppower/internal/telemetry"
@@ -178,8 +179,8 @@ func TestSweepMixedAxesMatchRun(t *testing.T) {
 	sweepOutputsEqual(t, want, got)
 }
 
-// TestSweepRejectsUnsupportedSpecs: the engine refuses specs it cannot
-// reproduce bit-identically; callers fall back to Run.
+// TestSweepRejectsUnsupportedSpecs: the engine refuses specs that are
+// not a sweep (the prelude protocol, limits fixed in the spec).
 func TestSweepRejectsUnsupportedSpecs(t *testing.T) {
 	base := sweepTestSpec(t, 1, 0)
 
@@ -200,16 +201,82 @@ func TestSweepRejectsUnsupportedSpecs(t *testing.T) {
 	if _, err := NewSweep(spec); err == nil {
 		t.Fatal("pre-locked spec accepted")
 	}
+}
 
-	hub := telemetry.NewHub()
-	s, err := telemetry.NewSampler(hub, 2)
-	if err != nil {
-		t.Fatal(err)
+// TestSweepPublishesEveryPoint: under an active telemetry sink every
+// RunCap point streams its selected repeat, sample for sample what Run
+// at the same caps streams — so a telemetry-enabled process measures
+// through the sweep engine like any other.
+func TestSweepPublishesEveryPoint(t *testing.T) {
+	spec := sweepTestSpec(t, 2, 0)
+	caps := []float64{0, 250, 300}
+	stream := func(do func() error) []telemetry.Sample {
+		t.Helper()
+		hub := telemetry.NewHub()
+		sub, err := hub.Subscribe("", 1<<16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		smp, err := telemetry.NewSampler(hub, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		telemetry.SetDefault(smp)
+		defer telemetry.SetDefault(nil)
+		if err := do(); err != nil {
+			t.Fatal(err)
+		}
+		if sub.Dropped() != 0 {
+			t.Fatalf("subscription dropped %d samples", sub.Dropped())
+		}
+		var out []telemetry.Sample
+		for {
+			s, ok := sub.TryNext()
+			if !ok {
+				return out
+			}
+			out = append(out, s)
+		}
 	}
-	telemetry.SetDefault(s)
-	defer telemetry.SetDefault(nil)
-	if _, err := NewSweep(base); err == nil {
-		t.Fatal("sweep accepted while telemetry sink active")
+	want := stream(func() error {
+		for _, capW := range caps {
+			pt := spec
+			pt.GPUPowerLimit = capW
+			if _, err := Run(pt); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	got := stream(func() error {
+		sw, err := NewSweep(spec)
+		if err != nil {
+			return err
+		}
+		defer sw.Close()
+		for _, capW := range caps {
+			if _, err := sw.RunCap(capW); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	perHost := func(ss []telemetry.Sample) map[string]int {
+		m := map[string]int{}
+		for _, s := range ss {
+			m[s.Host]++
+		}
+		return m
+	}
+	wantHosts, gotHosts := perHost(want), perHost(got)
+	if len(wantHosts) != spec.Nodes {
+		t.Fatalf("Run published %d hosts, want %d", len(wantHosts), spec.Nodes)
+	}
+	if !reflect.DeepEqual(wantHosts, gotHosts) {
+		t.Fatalf("sweep published %v samples per host, Run %v", gotHosts, wantHosts)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatal("sweep sample stream differs from Run's")
 	}
 }
 

@@ -113,14 +113,15 @@ func Run(spec RunSpec) (RunOutput, error) { return workloads.Run(spec) }
 // Measure runs a benchmark with the paper's protocol and returns its
 // power profile at the standard 2 s telemetry interval. Zero spec
 // fields take protocol defaults (default platform, 1 node, 1 repeat,
-// uncapped, serial); set spec.Workers to fan repeats out over a
-// worker pool — the profile is identical for every worker count.
+// uncapped). Repeats run serially on one reused node arena;
+// spec.Workers has no effect here.
 func Measure(spec MeasureSpec) (JobProfile, error) { return core.Measure(spec) }
 
 // MeasureCapResponse measures a benchmark under each GPU power cap
-// (spec.CapW is ignored; caps drives the sweep). spec.Workers fans the
-// baseline and cap points out concurrently; the response is identical
-// for every worker count.
+// (spec.CapW is ignored; caps drives the sweep). spec.Workers shards
+// the baseline and cap points over that many goroutines (0 = serial,
+// negative = one per point); the response is identical for every
+// worker count.
 func MeasureCapResponse(spec MeasureSpec, caps []float64) (CapResponse, error) {
 	return core.MeasureCapResponse(spec, caps)
 }
